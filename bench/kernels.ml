@@ -241,6 +241,9 @@ let run_checks () =
       let fld = Gf2p.create m in
       let k = Kernel.of_field fld in
       let st = Random.State.make [| 1009; m |] in
+      (* the striped-product cases draw from their own stream, so they do
+         not shift the inputs of the other cases *)
+      let sst = Random.State.make [| 2039; m |] in
       for trial = 1 to 20 do
         let tag = Printf.sprintf "m=%d trial=%d" m trial in
         (* Lengths up to 200 cross the kernels' short-row cutover in both
@@ -266,6 +269,38 @@ let run_checks () =
         (* dot *)
         check (tag ^ " dot")
           (Kernel.dot k ~x ~xoff:0 ~y ~yoff:0 ~len = ref_dot fld ~x ~y);
+        (* striped product: a stripes x rows block times a rows x cols
+           matrix, against per-element scalar sums; then the compare, on
+           the product and on a copy with one symbol flipped *)
+        let rows = 1 + Random.State.int sst 10 and cols = 1 + Random.State.int sst 10 in
+        let stripes = Random.State.int sst 20 in
+        let xs = Array.init (stripes * rows) (fun _ -> Gf2p.random fld sst) in
+        let bm = Array.init (rows * cols) (fun _ -> Gf2p.random fld sst) in
+        let want =
+          Array.init (stripes * cols) (fun i ->
+              let s = i / cols and j = i mod cols in
+              let acc = ref 0 in
+              for r = 0 to rows - 1 do
+                acc :=
+                  Gf2p.add fld !acc (Gf2p.mul fld xs.((s * rows) + r) bm.((r * cols) + j))
+              done;
+              !acc)
+        in
+        let got = Array.make (stripes * cols) 0 in
+        Kernel.mul_stripes k ~x:xs ~xoff:0 ~stripes ~rows ~b:bm ~boff:0 ~cols ~y:got
+          ~yoff:0;
+        check (tag ^ " mul_stripes") (got = want);
+        let equal y =
+          Kernel.stripes_equal k ~x:xs ~xoff:0 ~stripes ~rows ~b:bm ~boff:0 ~cols ~y
+            ~yoff:0
+        in
+        check (tag ^ " stripes_equal") (equal want);
+        if stripes > 0 then begin
+          let bad = Array.copy want in
+          let i = Random.State.int sst (stripes * cols) in
+          bad.(i) <- bad.(i) lxor 1;
+          check (tag ^ " stripes_equal mismatch") (not (equal bad))
+        end;
         (* inverse round-trip *)
         let dim = 1 + Random.State.int st 8 in
         let mat = Matrix.random fld dim dim st in

@@ -133,29 +133,83 @@ let split_balanced t ~parts =
          s)
        sizes)
 
+(* Symbol conversions move whole bytes, never single bits. A field of [w]
+   bits at bit [p] spans bytes [p / 8 .. (p + w - 1) / 8]; read or written
+   as one int, it carries at most 7 surplus bits on its right, so any
+   [w <= max_chunk] fits the 63-bit native int. Wider symbols (up to 61
+   bits) move as two fields: the high [w - 32] bits, then the low 32. *)
+let max_chunk = 56
+
+let low_mask w = (1 lsl w) - 1
+
+(* The [w <= max_chunk] bits of [data] starting at bit [p]. Bits left of
+   [p] are shifted out or masked off. *)
+let read_bits data p w =
+  let last = (p + w - 1) lsr 3 in
+  let v = ref 0 in
+  for i = p lsr 3 to last do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get data i)
+  done;
+  (!v lsr (7 - ((p + w - 1) land 7))) land low_mask w
+
+(* OR the low [w <= max_chunk] bits of [v] into [data] at bit [p]. *)
+let or_bits data p w v =
+  let last = (p + w - 1) lsr 3 in
+  let v = ref ((v land low_mask w) lsl (7 - ((p + w - 1) land 7))) in
+  for i = last downto p lsr 3 do
+    Bytes.unsafe_set data i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get data i) lor (!v land 0xff)));
+    v := !v lsr 8
+  done
+
+let check_sym_bits name sym_bits =
+  if sym_bits < 1 || sym_bits > 61 then invalid_arg (name ^ ": bad symbol width")
+
 let to_symbols t ~sym_bits =
-  if sym_bits < 1 || sym_bits > 61 then invalid_arg "Bitvec.to_symbols: bad symbol width";
+  check_sym_bits "Bitvec.to_symbols" sym_bits;
   if t.len mod sym_bits <> 0 then
     invalid_arg "Bitvec.to_symbols: width must divide the length";
-  Array.init (t.len / sym_bits) (fun s ->
-      let acc = ref 0 in
-      for i = 0 to sym_bits - 1 do
-        acc := (!acc lsl 1) lor if get t ((s * sym_bits) + i) then 1 else 0
-      done;
-      !acc)
+  let n = t.len / sym_bits in
+  let syms = Array.make n 0 in
+  for s = 0 to n - 1 do
+    let p = s * sym_bits in
+    Array.unsafe_set syms s
+      (if sym_bits <= max_chunk then read_bits t.data p sym_bits
+       else
+         (read_bits t.data p (sym_bits - 32) lsl 32)
+         lor read_bits t.data (p + sym_bits - 32) 32)
+  done;
+  syms
 
 let of_symbols ~sym_bits syms =
-  if sym_bits < 1 || sym_bits > 61 then invalid_arg "Bitvec.of_symbols: bad symbol width";
+  check_sym_bits "Bitvec.of_symbols" sym_bits;
   let n = Array.length syms in
-  init (n * sym_bits) (fun i ->
-      let s = i / sym_bits and b = i mod sym_bits in
-      syms.(s) lsr (sym_bits - 1 - b) land 1 = 1)
+  let len = n * sym_bits in
+  let data = Bytes.make (bytes_needed len) '\000' in
+  (* Only the low [sym_bits] bits of each symbol are written; the bytes
+     start zeroed, so the padding bits stay zero. *)
+  for s = 0 to n - 1 do
+    let v = Array.unsafe_get syms s and p = s * sym_bits in
+    if sym_bits <= max_chunk then or_bits data p sym_bits v
+    else begin
+      or_bits data p (sym_bits - 32) (v lsr 32);
+      or_bits data (p + sym_bits - 32) 32 v
+    end
+  done;
+  { len; data }
 
 let pad_to t len =
   if len < t.len then invalid_arg "Bitvec.pad_to: shorter than value";
-  if len = t.len then t else init len (fun i -> i < t.len && get t i)
+  if len = t.len then t
+  else begin
+    (* The padding bits of [t] are zero, so extending its bytes with zero
+       bytes is exactly the zero-extension. *)
+    let data = Bytes.make (bytes_needed len) '\000' in
+    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+    { len; data }
+  end
 
-let of_string s = init (8 * String.length s) (fun i -> Char.code s.[i / 8] land (0x80 lsr (i mod 8)) <> 0)
+let of_string s = { len = 8 * String.length s; data = Bytes.of_string s }
 
 let to_hex t =
   String.concat "" (List.init (Bytes.length t.data) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get t.data i))))

@@ -28,49 +28,30 @@ let generate g ~rho ~m ~seed =
     (Digraph.edges g);
   { fld; ker = Kernel.of_field fld; rho; matrices }
 
+(* Stripe count of a value; [fn] names the caller in the error. *)
+let stripes_of t ~fn x =
+  let len = Array.length x in
+  if len mod t.rho <> 0 then invalid_arg (fn ^ ": value length not a multiple of rho");
+  len / t.rho
+
 let encode t ~edge x =
   let c = matrix t ~edge in
-  let len = Array.length x in
-  if len mod t.rho <> 0 then invalid_arg "Coding.encode: value length not a multiple of rho";
-  let stripes = len / t.rho in
+  let stripes = stripes_of t ~fn:"Coding.encode" x in
   let ze = Matrix.cols c in
-  let craw = Matrix.raw c in
   let out = Array.make (stripes * ze) 0 in
-  for s = 0 to stripes - 1 do
-    (* stripe s of x times C_e, accumulated straight into the output slot —
-       no per-stripe slicing or blitting *)
-    Kernel.mul_row_matrix t.ker ~x ~xoff:(s * t.rho) ~rows:t.rho ~b:craw ~boff:0
-      ~cols:ze ~y:out ~yoff:(s * ze)
-  done;
+  Kernel.mul_stripes t.ker ~x ~xoff:0 ~stripes ~rows:t.rho ~b:(Matrix.raw c) ~boff:0
+    ~cols:ze ~y:out ~yoff:0;
   out
 
 let check t ~edge ~x ~received =
   let c = matrix t ~edge in
-  let len = Array.length x in
-  if len mod t.rho <> 0 then invalid_arg "Coding.encode: value length not a multiple of rho";
-  let stripes = len / t.rho in
+  let stripes = stripes_of t ~fn:"Coding.check" x in
   let ze = Matrix.cols c in
+  (* The kernel stops at the first mismatching stripe: a faulty stripe
+     costs the stripes up to it, not a full re-encode. *)
   Array.length received = stripes * ze
-  && begin
-       (* Stripe at a time into one scratch row, stopping at the first
-          mismatch — a faulty stripe costs rho * z_e multiplies, not a full
-          re-encode plus an array allocation. *)
-       let craw = Matrix.raw c in
-       let scratch = Array.make ze 0 in
-       let ok = ref true in
-       let s = ref 0 in
-       while !ok && !s < stripes do
-         Array.fill scratch 0 ze 0;
-         Kernel.mul_row_matrix t.ker ~x ~xoff:(!s * t.rho) ~rows:t.rho ~b:craw
-           ~boff:0 ~cols:ze ~y:scratch ~yoff:0;
-         let base = !s * ze in
-         for j = 0 to ze - 1 do
-           if scratch.(j) <> received.(base + j) then ok := false
-         done;
-         incr s
-       done;
-       !ok
-     end
+  && Kernel.stripes_equal t.ker ~x ~xoff:0 ~stripes ~rows:t.rho ~b:(Matrix.raw c)
+       ~boff:0 ~cols:ze ~y:received ~yoff:0
 
 (* Appendix C: expand C_e (rho x z_e) into B_e ((|h|-1) * rho x z_e). In
    characteristic 2 the -C_e blocks equal C_e, so each edge contributes its

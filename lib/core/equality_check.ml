@@ -51,12 +51,15 @@ let run ~net ?graph ~phase ~coding ~values ~faulty ?(adversary = honest) () =
   let flags =
     List.map
       (fun v ->
-        let received ~src =
-          List.find_map
-            (fun (s, (pkt : Packet.t)) ->
-              if s = src && pkt.proto = proto then Some pkt.payload else None)
-            (inbox v)
-        in
+        (* The inbox indexed by sender once; the first [ec] packet from a
+           sender wins. *)
+        let by_src = Hashtbl.create 8 in
+        List.iter
+          (fun (s, (pkt : Packet.t)) ->
+            if pkt.proto = proto && not (Hashtbl.mem by_src s) then
+              Hashtbl.add by_src s pkt.payload)
+          (inbox v);
+        let received ~src = Hashtbl.find_opt by_src src in
         (v, expected_flag coding ~graph:g ~me:v ~x:(values v) ~received))
       verts
   in

@@ -349,8 +349,18 @@ let session_broadcast ses input0 =
            whatever the backend (Phase1.run drains otherwise). *)
         assert (Transport.pending_count net = 0);
         let sizes = Phase1.slice_sizes ~value_bits ~trees:plan.plan_gamma in
-        let assembled v =
-          if v = source then value else Phase1.assemble ~slice_sizes:sizes (received v)
+        (* [f v] for every G_k vertex, computed once for this instance. *)
+        let per_vertex f =
+          let tbl = Hashtbl.create 16 in
+          List.iter (fun v -> Hashtbl.replace tbl v (f v)) (Digraph.vertices ses.ses_gk);
+          Hashtbl.find tbl
+        in
+        (* Each vertex's value x_i, assembled once: the equality check reads
+           it once per out-edge and once per in-edge, the report once more. *)
+        let assembled =
+          per_vertex (fun v ->
+              if v = source then value
+              else Phase1.assemble ~slice_sizes:sizes (received v))
         in
         if reduced then begin
           (* All faulty nodes are excluded: Phase 1 alone is reliable. *)
@@ -378,7 +388,7 @@ let session_broadcast ses input0 =
         end
         else begin
           (* ---- Phase 2, step 2.1: equality check ---- *)
-          let x_of v = Bitvec.to_symbols (assembled v) ~sym_bits:m in
+          let x_of = per_vertex (fun v -> Bitvec.to_symbols (assembled v) ~sym_bits:m) in
           let own_flags =
             Equality_check.run ~net ~graph:ses.ses_gk ~phase:"equality-check"
               ~coding:plan.plan_coding ~values:x_of ~faulty

@@ -506,3 +506,126 @@ let mul_row_matrix k ~x ~xoff ~rows ~b ~boff ~cols ~y ~yoff =
     let a = Array.unsafe_get x (xoff + r) in
     if a <> 0 then axpy k ~a ~x:b ~xoff:(boff + (r * cols)) ~y ~yoff ~len:cols
   done
+
+(* The sentinel-extended logs of a row-major [rows x cols] matrix at
+   [boff], stored column-major, so that an output symbol's [rows] terms
+   read one contiguous run. *)
+let log_columns log ~b ~boff ~rows ~cols =
+  let logb = Array.make (rows * cols) 0 in
+  for r = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      Array.unsafe_set logb ((j * rows) + r) log.(b.(boff + (r * cols) + j))
+    done
+  done;
+  logb
+
+(* Stripe [s] of [x] ([rows] coefficients) times B, accumulated into
+   ([verify = false]) or compared against ([verify = true]) stripe [s] of
+   [y] ([cols] symbols), one output symbol at a time, stopping after the
+   first stripe that differs.
+
+   Counting: one [mul_row_matrix] per computed stripe would issue, per
+   nonzero coefficient, [cols] flops unless it is 1, and [3 * cols]
+   symbols. Zero and unit coefficients are rare, so the loops only tally
+   those (behind one [a lsr 1 = 0] test) and the totals follow from the
+   number of coefficients in the computed stripes. *)
+let striped_product k ~verify ~x ~xoff ~stripes ~rows ~b ~boff ~cols ~y ~yoff =
+  let name = if verify then "Kernel.stripes_equal" else "Kernel.mul_stripes" in
+  if stripes < 0 || rows < 0 || cols < 0 then invalid_arg (name ^ ": negative size");
+  check_range name x xoff (stripes * rows);
+  check_range name b boff (rows * cols);
+  check_range name y yoff (stripes * cols);
+  let ok = ref true and s = ref 0 in
+  let zeros = ref 0 and units = ref 0 in
+  (match k.mode with
+  | Bytes8 { exp8; log8 } ->
+      (* Log domain: the logs of B are taken once per call and those of a
+         stripe's coefficients once per stripe, so each product is one exp
+         load. The sentinel log of 0 makes zero coefficients and entries
+         contribute 0 untested, and exp'(log' 1 + log' e) = e covers the
+         unit coefficients the per-row path XORs in. *)
+      let logb = log_columns log8 ~b ~boff ~rows ~cols in
+      let logx = Array.make rows 0 in
+      while !ok && !s < stripes do
+        let xs = xoff + (!s * rows) and ys = yoff + (!s * cols) in
+        for r = 0 to rows - 1 do
+          let a = Array.unsafe_get x (xs + r) in
+          assert (a land lnot k.mask = 0);
+          if a lsr 1 = 0 then if a = 0 then incr zeros else incr units;
+          Array.unsafe_set logx r (Array.unsafe_get log8 a)
+        done;
+        for j = 0 to cols - 1 do
+          let acc = ref 0 and jb = j * rows in
+          for r = 0 to rows - 1 do
+            acc :=
+              !acc
+              lxor Char.code
+                     (Bytes.unsafe_get exp8
+                        (Array.unsafe_get logx r + Array.unsafe_get logb (jb + r)))
+          done;
+          let yj = Array.unsafe_get y (ys + j) in
+          if verify then (if !acc <> yj then ok := false)
+          else Array.unsafe_set y (ys + j) (yj lxor !acc)
+        done;
+        incr s
+      done
+  | Tab { exp; log } ->
+      (* As for Bytes8, over the int16 exp table. *)
+      let logb = log_columns log ~b ~boff ~rows ~cols in
+      let logx = Array.make rows 0 in
+      while !ok && !s < stripes do
+        let xs = xoff + (!s * rows) and ys = yoff + (!s * cols) in
+        for r = 0 to rows - 1 do
+          let a = Array.unsafe_get x (xs + r) in
+          assert (a land lnot k.mask = 0);
+          if a lsr 1 = 0 then if a = 0 then incr zeros else incr units;
+          Array.unsafe_set logx r (Array.unsafe_get log a)
+        done;
+        for j = 0 to cols - 1 do
+          let acc = ref 0 and jb = j * rows in
+          for r = 0 to rows - 1 do
+            acc :=
+              !acc
+              lxor Bigarray.Array1.unsafe_get exp
+                     (Array.unsafe_get logx r + Array.unsafe_get logb (jb + r))
+          done;
+          let yj = Array.unsafe_get y (ys + j) in
+          if verify then (if !acc <> yj then ok := false)
+          else Array.unsafe_set y (ys + j) (yj lxor !acc)
+        done;
+        incr s
+      done
+  | Raw _ ->
+      (* No log domain above m = 16: each product is a scalar [mul]. *)
+      while !ok && !s < stripes do
+        let xs = xoff + (!s * rows) and ys = yoff + (!s * cols) in
+        for r = 0 to rows - 1 do
+          let a = Array.unsafe_get x (xs + r) in
+          if a lsr 1 = 0 then if a = 0 then incr zeros else incr units
+        done;
+        for j = 0 to cols - 1 do
+          let acc = ref 0 in
+          for r = 0 to rows - 1 do
+            acc :=
+              !acc
+              lxor mul k (Array.unsafe_get x (xs + r))
+                     (Array.unsafe_get b (boff + (r * cols) + j))
+          done;
+          let yj = Array.unsafe_get y (ys + j) in
+          if verify then (if !acc <> yj then ok := false)
+          else Array.unsafe_set y (ys + j) (yj lxor !acc)
+        done;
+        incr s
+      done);
+  let nonzero = (!s * rows) - !zeros in
+  count ~flops:((nonzero - !units) * cols) ~symbols:(3 * cols * nonzero);
+  !ok
+
+let mul_stripes k ~x ~xoff ~stripes:n ~rows ~b ~boff ~cols ~y ~yoff =
+  let (_ : bool) =
+    striped_product k ~verify:false ~x ~xoff ~stripes:n ~rows ~b ~boff ~cols ~y ~yoff
+  in
+  ()
+
+let stripes_equal k ~x ~xoff ~stripes:n ~rows ~b ~boff ~cols ~y ~yoff =
+  striped_product k ~verify:true ~x ~xoff ~stripes:n ~rows ~b ~boff ~cols ~y ~yoff

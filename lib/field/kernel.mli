@@ -135,6 +135,48 @@ val mul_row_matrix :
     [x(k) * B(k, j)] into [y(j)]. The caller zero-fills [y] for a plain
     product. *)
 
+val mul_stripes :
+  t ->
+  x:int array ->
+  xoff:int ->
+  stripes:int ->
+  rows:int ->
+  b:int array ->
+  boff:int ->
+  cols:int ->
+  y:int array ->
+  yoff:int ->
+  unit
+(** The striped product [Y <- Y + X * B] of a [stripes x rows] matrix [X]
+    (flat row-major from [xoff]) and a [rows x cols] matrix [B] into a
+    [stripes x cols] matrix [Y] (from [yoff]): stripe [s] of [y]
+    accumulates [x(s) * B]. It computes what [stripes] {!mul_row_matrix}
+    calls, one per stripe, would, in one call: the range checks run once,
+    the tabled modes take the logs of [B] once, and the {!stats} counters
+    are updated once — by exactly the totals those calls would have
+    counted (per nonzero coefficient of [X], [cols] flops unless it is 1,
+    and [3 * cols] symbols). This is the equality-check encode, [X_i C_e],
+    of a whole value. *)
+
+val stripes_equal :
+  t ->
+  x:int array ->
+  xoff:int ->
+  stripes:int ->
+  rows:int ->
+  b:int array ->
+  boff:int ->
+  cols:int ->
+  y:int array ->
+  yoff:int ->
+  bool
+(** Whether every stripe of [y] equals [x(s) * B] (same layout as
+    {!mul_stripes}; [y] is only read). Stripes are checked in order and
+    the call returns [false] after the first one that differs, having
+    counted the stripes it computed, the differing one included, exactly
+    as {!mul_stripes} would. This is the equality-check test of a whole
+    received vector. *)
+
 (** {1 Accounting}
 
     Global, domain-safe counters of the work issued to the kernels, for

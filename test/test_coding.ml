@@ -118,6 +118,62 @@ let test_bitvec_random_padding_clean () =
     Alcotest.(check bool) "roundtrip equal" true (Bitvec.equal v w)
   done
 
+(* Bit-at-a-time references for the byte-wise symbol conversions: the
+   pre-rewrite implementations, expressed through the public API. A
+   round trip alone would pass a matching pair of wrong functions, so each
+   direction is checked against its reference on its own. *)
+let to_symbols_ref v ~sym_bits =
+  Array.init (Bitvec.length v / sym_bits) (fun s ->
+      let acc = ref 0 in
+      for i = 0 to sym_bits - 1 do
+        acc := (!acc lsl 1) lor if Bitvec.get v ((s * sym_bits) + i) then 1 else 0
+      done;
+      !acc)
+
+let of_symbols_ref ~sym_bits syms =
+  Bitvec.init (Array.length syms * sym_bits) (fun i ->
+      syms.(i / sym_bits) lsr (sym_bits - 1 - (i mod sym_bits)) land 1 = 1)
+
+let pad_to_ref v len = Bitvec.init len (fun i -> i < Bitvec.length v && Bitvec.get v i)
+
+(* Every width the field allows, with symbol counts that make most lengths
+   not a multiple of 8. *)
+let sym_case_gen =
+  QCheck2.Gen.(
+    int_range 1 61 >>= fun sym_bits ->
+    int_range 0 13 >>= fun nsyms ->
+    int_range 0 100_000 >>= fun seed -> return (sym_bits, nsyms, seed))
+
+let test_to_symbols_matches_reference =
+  qtest ~count:300 "to_symbols = bit-by-bit reference" sym_case_gen
+    (fun (sym_bits, nsyms, seed) ->
+      let v = Bitvec.random (nsyms * sym_bits) (Random.State.make [| seed |]) in
+      Bitvec.to_symbols v ~sym_bits = to_symbols_ref v ~sym_bits)
+
+let test_of_symbols_matches_reference =
+  (* Full-width ints, negative ones included: the bits above [sym_bits]
+     must be ignored exactly as the reference ignores them. *)
+  qtest ~count:300 "of_symbols = bit-by-bit reference" sym_case_gen
+    (fun (sym_bits, nsyms, seed) ->
+      let st = Random.State.make [| seed |] in
+      let syms =
+        Array.init nsyms (fun _ ->
+            (Random.State.bits st lsl 60)
+            lxor (Random.State.bits st lsl 30)
+            lxor Random.State.bits st)
+      in
+      Bitvec.equal (Bitvec.of_symbols ~sym_bits syms) (of_symbols_ref ~sym_bits syms))
+
+let test_pad_to_matches_reference =
+  qtest ~count:200 "pad_to = bit-by-bit reference"
+    QCheck2.Gen.(
+      int_range 0 100 >>= fun len ->
+      int_range 0 40 >>= fun extra ->
+      int_range 0 100_000 >>= fun seed -> return (len, extra, seed))
+    (fun (len, extra, seed) ->
+      let v = Bitvec.random len (Random.State.make [| seed |]) in
+      Bitvec.equal (Bitvec.pad_to v (len + extra)) (pad_to_ref v (len + extra)))
+
 (* ---------- Coding ---------- *)
 
 let k4 = Gen.complete ~n:4 ~cap:2
@@ -198,6 +254,18 @@ let test_check_own_value =
       Coding.check c ~edge:(1, 2) ~x ~received:y
       && (not (Coding.check c ~edge:(1, 2) ~x ~received:corrupt))
       && not (Coding.check c ~edge:(1, 2) ~x ~received:(Array.sub y 0 1)))
+
+let test_value_length_errors () =
+  (* Each entry point names itself when the value is not whole stripes. *)
+  let c = Coding.generate k4 ~rho:rho4 ~m:8 ~seed:3 in
+  Alcotest.(check bool) "rho > 1" true (rho4 > 1);
+  let x = Array.make (rho4 + 1) 0 in
+  Alcotest.check_raises "encode"
+    (Invalid_argument "Coding.encode: value length not a multiple of rho") (fun () ->
+      ignore (Coding.encode c ~edge:(1, 2) x));
+  Alcotest.check_raises "check"
+    (Invalid_argument "Coding.check: value length not a multiple of rho") (fun () ->
+      ignore (Coding.check c ~edge:(1, 2) ~x ~received:[||]))
 
 let test_expanded_matrix_shape () =
   let c = Coding.generate k4 ~rho:rho4 ~m:8 ~seed:3 in
@@ -586,6 +654,9 @@ let () =
           Alcotest.test_case "pad_to" `Quick test_pad_to;
           Alcotest.test_case "random padding clean" `Quick
             test_bitvec_random_padding_clean;
+          test_to_symbols_matches_reference;
+          test_of_symbols_matches_reference;
+          test_pad_to_matches_reference;
         ] );
       ( "coding",
         [
@@ -602,6 +673,7 @@ let () =
             test_incorrect_matrices_have_blind_spot;
           Alcotest.test_case "failure bound formula" `Quick test_failure_bound;
           Alcotest.test_case "theorem 1 empirical" `Slow test_theorem1_empirical;
+          Alcotest.test_case "value length errors" `Quick test_value_length_errors;
         ] );
       ( "appendix-c",
         [

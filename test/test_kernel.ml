@@ -240,6 +240,90 @@ let test_mul_row_matrix =
         x;
       y = expect)
 
+(* The striped product against what it replaces: one mul_row_matrix per
+   stripe (encode) and the stripe-at-a-time compare that stops at the first
+   mismatching stripe (check). Output, verdict and the Kernel.stats deltas
+   must all agree. Coefficients and matrix entries are drawn with 0 and 1
+   over-represented, since those take the counters' degenerate paths. *)
+let stripe_widths = [ 8; 16; 32; 61 ]
+
+let stripe_case_gen =
+  QCheck2.Gen.(
+    oneofl stripe_widths >>= fun m ->
+    int_range 0 6 >>= fun stripes ->
+    int_range 1 5 >>= fun rows ->
+    int_range 1 10 >>= fun cols ->
+    int_range 0 100_000 >>= fun seed -> return (m, stripes, rows, cols, seed))
+
+let stripe_elt fld st =
+  match Random.State.int st 4 with 0 -> 0 | 1 -> 1 | _ -> Gf2p.random fld st
+
+let stats_delta f =
+  let before = Kernel.stats () in
+  let r = f () in
+  (r, Kernel.diff_stats before (Kernel.stats ()))
+
+let per_stripe_encode k ~x ~stripes ~rows ~b ~cols ~y =
+  for s = 0 to stripes - 1 do
+    Kernel.mul_row_matrix k ~x ~xoff:(s * rows) ~rows ~b ~boff:0 ~cols ~y ~yoff:(s * cols)
+  done
+
+let per_stripe_check k ~x ~stripes ~rows ~b ~cols ~y =
+  let scratch = Array.make cols 0 in
+  let ok = ref true and s = ref 0 in
+  while !ok && !s < stripes do
+    Array.fill scratch 0 cols 0;
+    Kernel.mul_row_matrix k ~x ~xoff:(!s * rows) ~rows ~b ~boff:0 ~cols ~y:scratch ~yoff:0;
+    for j = 0 to cols - 1 do
+      if scratch.(j) <> y.((!s * cols) + j) then ok := false
+    done;
+    incr s
+  done;
+  !ok
+
+let test_mul_stripes =
+  qtest ~count:200 "mul_stripes/stripes_equal = per-stripe mul_row_matrix" stripe_case_gen
+    (fun (m, stripes, rows, cols, seed) ->
+      let fld = Gf2p.create m in
+      let k = Kernel.of_field fld in
+      let st = Random.State.make [| seed |] in
+      let x = Array.init (stripes * rows) (fun _ -> stripe_elt fld st) in
+      let b = Array.init (rows * cols) (fun _ -> stripe_elt fld st) in
+      (* A nonzero start: both must accumulate, not overwrite. *)
+      let y0 = Array.init (stripes * cols) (fun _ -> stripe_elt fld st) in
+      let y_ref = Array.copy y0 and y_new = Array.copy y0 in
+      let (), d_ref =
+        stats_delta (fun () -> per_stripe_encode k ~x ~stripes ~rows ~b ~cols ~y:y_ref)
+      in
+      let (), d_new =
+        stats_delta (fun () ->
+            Kernel.mul_stripes k ~x ~xoff:0 ~stripes ~rows ~b ~boff:0 ~cols ~y:y_new
+              ~yoff:0)
+      in
+      let agree ~received =
+        let ok_ref, c_ref =
+          stats_delta (fun () -> per_stripe_check k ~x ~stripes ~rows ~b ~cols ~y:received)
+        in
+        let ok_new, c_new =
+          stats_delta (fun () ->
+              Kernel.stripes_equal k ~x ~xoff:0 ~stripes ~rows ~b ~boff:0 ~cols ~y:received
+                ~yoff:0)
+        in
+        ok_ref = ok_new && c_ref = c_new
+      in
+      let product = Array.make (stripes * cols) 0 in
+      per_stripe_encode k ~x ~stripes ~rows ~b ~cols ~y:product;
+      let corrupt = Array.copy product in
+      if stripes > 0 then begin
+        let i = Random.State.int st (stripes * cols) in
+        corrupt.(i) <- corrupt.(i) lxor 1
+      end;
+      y_new = y_ref && d_new = d_ref
+      && agree ~received:product
+      && Kernel.stripes_equal k ~x ~xoff:0 ~stripes ~rows ~b ~boff:0 ~cols ~y:product
+           ~yoff:0
+      && agree ~received:corrupt)
+
 let test_range_checks () =
   let k = Kernel.of_field (Gf2p.create 8) in
   let x = Array.make 4 1 and y = Array.make 4 1 in
@@ -253,6 +337,13 @@ let test_range_checks () =
       (fun () -> Kernel.axpy k ~a:1 ~x ~xoff:0 ~y ~yoff:(-1) ~len:2);
       (fun () -> Kernel.scal k ~a:2 ~x ~off:0 ~len:5);
       (fun () -> ignore (Kernel.dot k ~x ~xoff:3 ~y ~yoff:0 ~len:2));
+      (fun () ->
+        Kernel.mul_stripes k ~x ~xoff:0 ~stripes:3 ~rows:2 ~b:y ~boff:0 ~cols:2 ~y
+          ~yoff:0);
+      (fun () ->
+        ignore
+          (Kernel.stripes_equal k ~x ~xoff:0 ~stripes:2 ~rows:2 ~b:y ~boff:1 ~cols:2 ~y
+             ~yoff:0));
     ]
 
 let test_stats () =
@@ -603,6 +694,7 @@ let () =
           Alcotest.test_case "stats exact semantics" `Quick test_stats_exact;
           Alcotest.test_case "degree-61 boundary" `Quick test_degree61_boundary;
           Alcotest.test_case "of_field aliasing" `Quick test_of_field_aliasing;
+          test_mul_stripes;
         ] );
       ( "gauss",
         [

@@ -814,6 +814,35 @@ let test_nab_deterministic () =
         i1.Nab.decisions i2.Nab.decisions)
     r1.Nab.instances r2.Nab.instances
 
+(* The field work a run issues, pinned: nab.kernel_flops/symbols of a
+   fixed-seed run on complete n=7, f=1, L=4096, q=2 must stay exactly the
+   issued-work totals of the per-stripe equality-check kernels, with and
+   without an in-band liar, whatever the implementation underneath. "cold"
+   counts coding-matrix verification too (plan cache cleared), "warm" only
+   the per-instance work. *)
+let test_nab_kernel_counters_pinned () =
+  let g = Gen.complete ~n:7 ~cap:2 in
+  let config = Nab.config ~f:1 ~l_bits:4096 () in
+  let inputs k = Bitvec.random 4096 (Random.State.make [| 42; k |]) in
+  let counters ~cold adversary =
+    if cold then Nab_util.Plan_cache.clear_all ();
+    let obs = Nab_obs.make [ Nab_obs.null_sink ] in
+    ignore (Nab.run ~obs ~g ~config ~adversary ~inputs ~q:2 ());
+    let get name =
+      match Nab_obs.find_metric obs name with
+      | Some m -> int_of_float m.Nab_obs.m_sum
+      | None -> -1
+    in
+    (get "nab.kernel_flops", get "nab.kernel_symbols")
+  in
+  let pin name expected cold adversary =
+    Alcotest.(check (pair int int)) name expected (counters ~cold adversary)
+  in
+  pin "none, cold" (426468, 1266979) true Adversary.none;
+  pin "none, warm" (86016, 258048) false Adversary.none;
+  pin "ec-liar, cold" (709536, 2114408) true Adversary.ec_liar;
+  pin "ec-liar, warm" (320448, 961344) false Adversary.ec_liar
+
 (* The adaptive strategy corrupts, greedily, the node whose exclusion most
    reduces the residual broadcast min-cut; disconnecting picks count as
    not-more-damaging. Mirror that damage function and check the greedy
@@ -940,5 +969,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_nab_deterministic;
           Alcotest.test_case "adaptive minimizes min-cut" `Quick
             test_adaptive_minimizes_mincut;
+          Alcotest.test_case "kernel counters pinned" `Quick
+            test_nab_kernel_counters_pinned;
         ] );
     ]
