@@ -563,7 +563,6 @@ let micro () =
     [
       Test.make ~name:"gf2p16.mul" (Staged.stage (fun () -> Gf2p.mul f16 a b));
       Test.make ~name:"gf2p16.inv" (Staged.stage (fun () -> Gf2p.inv f16 a));
-      Test.make ~name:"gf256.mul(table)" (Staged.stage (fun () -> Gf256.mul 200 123));
       Test.make ~name:"matrix.rank20" (Staged.stage (fun () -> Nab_matrix.Gauss.rank f16 mat));
       Test.make ~name:"dinic.k8" (Staged.stage (fun () -> Maxflow.max_flow k8 ~src:1 ~dst:8));
       Test.make ~name:"stoer-wagner.n12" (Staged.stage (fun () -> Stoer_wagner.min_cut_value u12));
@@ -588,9 +587,6 @@ let micro () =
        let shares = List.init 6 (fun i -> (2 * i, code.(2 * i))) in
        Test.make ~name:"reed-solomon.decode(6,12)"
          (Staged.stage (fun () -> Rs.decode_exn rs shares)));
-      (let t16 = Gf2p_table.create 16 in
-       Test.make ~name:"gf2p16.mul(table-module)"
-         (Staged.stage (fun () -> Gf2p_table.mul t16 a b)));
       Test.make ~name:"karger.trial.n12"
         (let st = Random.State.make [| 7 |] in
          Staged.stage (fun () -> Karger.one_trial u12 st));

@@ -1,13 +1,9 @@
-open Nab_graph
-
-type 'm event = { round_no : int; ev_phase : string; src : int; dst : int; msg : 'm }
-
-type phase_acc = {
-  mutable p_rounds : int;
-  mutable p_wall : float;
-  mutable p_bottleneck : float;
-  mutable p_bits : int;
-  mutable p_extra : float;
+type 'm event = 'm Ledger.event = {
+  round_no : int;
+  ev_phase : string;
+  src : int;
+  dst : int;
+  msg : 'm;
 }
 
 type phase_stat = Transport.phase_stat = {
@@ -19,144 +15,28 @@ type phase_stat = Transport.phase_stat = {
   extra : float;
 }
 
-(* ---------------------------- compiled core ----------------------------
-
-   [create] compiles the digraph once into dense vertex/edge-indexed
-   arrays; [round] then runs entirely on integer indices — no per-message
-   map lookups, no per-round hashtables. The delivered-message semantics
-   (inbox ordering, delayed arrivals, drop accounting, trace sampling) are
-   byte-identical to the pre-compilation implementation; test/test_net.ml
-   keeps a verbatim copy of that implementation and checks the two
-   differentially on random graphs. *)
-
-type compiled = {
-  nv : int;
-  ne : int;
-  vid : int array; (* dense index -> vertex id, ascending *)
-  (* vertex id -> dense index. Contiguous-ish id ranges (the common case)
-     use a direct offset table; pathological ranges fall back to hashing. *)
-  idx_base : int;
-  idx_direct : int array; (* (id - idx_base) -> index, -1 absent; [||] = hashed *)
-  idx_tbl : (int, int) Hashtbl.t;
-  (* Edges in (src, dst) lexicographic order — the order every sorted
-     accessor (link_bits, utilization) reports in. *)
-  e_src_id : int array;
-  e_dst_id : int array;
-  e_dst : int array; (* dense destination index per edge *)
-  e_capf : float array;
-  e_delay : int array; (* max 0 (delays (src, dst)), resolved at compile time *)
-  (* (src index * nv + dst index) -> edge id. Dense matrix for small
-     graphs, hashtable above [dense_limit] vertices. *)
-  eid_dense : int array;
-  eid_tbl : (int, int) Hashtbl.t;
+type timing = Transport.timing = {
+  wall : float;
+  pipelined : float;
+  phases : phase_stat list;
 }
 
-let dense_vertex_span = 65536
-let dense_edge_limit = 512 (* nv <= this: the nv^2 edge matrix stays small *)
+(* ---------------------------- compiled core ----------------------------
 
-let vertex_index c v =
-  if Array.length c.idx_direct > 0 then begin
-    let o = v - c.idx_base in
-    if o < 0 || o >= Array.length c.idx_direct then -1 else c.idx_direct.(o)
-  end
-  else match Hashtbl.find_opt c.idx_tbl v with Some i -> i | None -> -1
-
-(* The edge id of (src, dst), or -1 when the link (or either endpoint)
-   does not exist — the single lookup that replaces the old
-   mem_edge/cap/link_bits/link_total hashtable quadruple. *)
-let edge_id c src dst =
-  let si = vertex_index c src in
-  if si < 0 then -1
-  else begin
-    let di = vertex_index c dst in
-    if di < 0 then -1
-    else begin
-      let key = (si * c.nv) + di in
-      if Array.length c.eid_dense > 0 then c.eid_dense.(key)
-      else match Hashtbl.find_opt c.eid_tbl key with Some e -> e | None -> -1
-    end
-  end
-
-let compile ~delays g =
-  let vid = Array.of_list (Digraph.vertices g) in
-  let nv = Array.length vid in
-  let idx_tbl = Hashtbl.create (max 16 nv) in
-  let idx_base, idx_direct =
-    if nv = 0 then (0, [||])
-    else begin
-      let lo = vid.(0) and hi = vid.(nv - 1) in
-      let span = hi - lo + 1 in
-      if span > 0 && (span <= dense_vertex_span || span <= 64 * nv) then begin
-        let a = Array.make span (-1) in
-        Array.iteri (fun i v -> a.(v - lo) <- i) vid;
-        (lo, a)
-      end
-      else begin
-        Array.iteri (fun i v -> Hashtbl.replace idx_tbl v i) vid;
-        (0, [||])
-      end
-    end
-  in
-  let edges = Array.of_list (Digraph.edges g) in
-  let ne = Array.length edges in
-  let e_src_id = Array.make ne 0 in
-  let e_dst_id = Array.make ne 0 in
-  let e_dst = Array.make ne 0 in
-  let e_capf = Array.make ne 0.0 in
-  let e_delay = Array.make ne 0 in
-  let use_dense = nv > 0 && nv <= dense_edge_limit in
-  let eid_dense = if use_dense then Array.make (nv * nv) (-1) else [||] in
-  let eid_tbl = Hashtbl.create (if use_dense then 1 else max 16 ne) in
-  let lookup v =
-    if Array.length idx_direct > 0 then idx_direct.(v - idx_base)
-    else Hashtbl.find idx_tbl v
-  in
-  Array.iteri
-    (fun e (src, dst, cap) ->
-      let si = lookup src and di = lookup dst in
-      e_src_id.(e) <- src;
-      e_dst_id.(e) <- dst;
-      e_dst.(e) <- di;
-      e_capf.(e) <- float_of_int cap;
-      e_delay.(e) <- max 0 (delays (src, dst));
-      let key = (si * nv) + di in
-      if use_dense then eid_dense.(key) <- e else Hashtbl.replace eid_tbl key e)
-    edges;
-  {
-    nv;
-    ne;
-    vid;
-    idx_base;
-    idx_direct;
-    idx_tbl;
-    e_src_id;
-    e_dst_id;
-    e_dst;
-    e_capf;
-    e_delay;
-    eid_dense;
-    eid_tbl;
-  }
+   [round] runs entirely on the ledger's dense index — no per-message map
+   lookups, no per-round hashtables — and reports every charge, delivery
+   and drop to the ledger. The delivered-message semantics (inbox
+   ordering, delayed arrivals, drop accounting, trace sampling) are
+   byte-identical to the pre-compilation implementation; test/test_net.ml
+   checks the two differentially on random graphs against a verbatim copy
+   of that implementation. *)
 
 type 'm t = {
-  g : Digraph.t;
-  c : compiled;
-  bits : 'm -> int;
-  obs : Nab_obs.ctx;
-  keep_events : bool;
-  mutable round_no : int;
-  mutable msg_no : int; (* delivered-message counter, for trace sampling *)
-  mutable evs : 'm event list; (* reversed; only grown when keep_events *)
-  mutable dropped : int;
-  link_total : int array; (* per edge, whole run *)
-  phases : (string, phase_acc) Hashtbl.t;
-  mutable phase_order : string list; (* reversed *)
+  l : 'm Ledger.t;
+  c : Ledger.index;
+  e_delay : int array; (* max 0 (delays (src, dst)) per edge *)
   pending : (int, (int * int * 'm) list) Hashtbl.t;
       (* due round -> (src, dst, msg): in-flight messages on delayed links *)
-  (* --- per-round scratch, reset via the touched lists below --- *)
-  round_bits : int array; (* per edge *)
-  touched : int array; (* edge ids with round_bits > 0 this round *)
-  mutable n_touched : int;
   (* Per destination index: the inbox under construction. Senders are
      scanned in ascending order, so immediate deliveries arrive already
      grouped by sender — groups are appended, messages within a group are
@@ -174,26 +54,15 @@ type 'm t = {
   mutable n_dst : int;
 }
 
-let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) g
-    ~bits =
-  let c = compile ~delays g in
+let create ?(delays = fun _ -> 0) ?obs ?keep_events g ~bits =
+  let l = Ledger.create ?obs ?keep_events ~backend:"Sim" g ~bits in
+  let c = Ledger.index l in
   {
-    g;
+    l;
     c;
-    bits;
-    obs;
-    keep_events;
-    round_no = 0;
-    msg_no = 0;
-    evs = [];
-    dropped = 0;
-    link_total = Array.make c.ne 0;
-    phases = Hashtbl.create 8;
-    phase_order = [];
+    e_delay =
+      Array.init c.ne (fun e -> max 0 (delays (c.e_src_id.(e), c.e_dst_id.(e))));
     pending = Hashtbl.create 8;
-    round_bits = Array.make c.ne 0;
-    touched = Array.make c.ne 0;
-    n_touched = 0;
     ib_open = Array.make c.nv false;
     ib_src = Array.make c.nv 0;
     ib_group = Array.make c.nv [];
@@ -204,44 +73,9 @@ let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) g
     n_dst = 0;
   }
 
-let graph t = t.g
-let obs t = t.obs
-let keeps_events t = t.keep_events
-
-let phase_acc t name =
-  match Hashtbl.find_opt t.phases name with
-  | Some acc -> acc
-  | None ->
-      let acc = { p_rounds = 0; p_wall = 0.0; p_bottleneck = 0.0; p_bits = 0; p_extra = 0.0 } in
-      Hashtbl.add t.phases name acc;
-      t.phase_order <- name :: t.phase_order;
-      acc
-
-let elapsed_phases t =
-  Hashtbl.fold (fun _ a acc -> acc +. a.p_wall +. a.p_extra) t.phases 0.0
-
 let round t ~phase outbox =
-  let acc = phase_acc t phase in
-  t.round_no <- t.round_no + 1;
-  let round_no = t.round_no in
-  let sample = Nab_obs.sample_messages t.obs in
-  let c = t.c in
-  let record_delivery src dst msg =
-    if t.keep_events then
-      t.evs <- { round_no; ev_phase = phase; src; dst; msg } :: t.evs;
-    t.msg_no <- t.msg_no + 1;
-    if sample > 0 && t.msg_no mod sample = 0 then
-      Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-        ~attrs:
-          [
-            ("phase", Nab_obs.S phase);
-            ("round", Nab_obs.I round_no);
-            ("src", Nab_obs.I src);
-            ("dst", Nab_obs.I dst);
-            ("bits", Nab_obs.I (t.bits msg));
-          ]
-        "msg"
-  in
+  let l = t.l and c = t.c in
+  let round_no = Ledger.begin_round l ~phase in
   let touch_dst di =
     t.dst_touched.(t.n_dst) <- di;
     t.n_dst <- t.n_dst + 1
@@ -253,13 +87,13 @@ let round t ~phase outbox =
   | Some arrivals ->
       List.iter
         (fun (src, dst, msg) ->
-          let di = vertex_index c dst in
+          let di = Ledger.vertex_index c dst in
           if not t.ib_flag.(di) then begin
             t.ib_flag.(di) <- true;
             touch_dst di
           end;
           t.ib_legacy.(di) <- (src, msg) :: t.ib_legacy.(di);
-          record_delivery src dst msg)
+          Ledger.deliver l src dst msg)
         (List.rev arrivals);
       Hashtbl.remove t.pending round_no
   | None -> ());
@@ -278,20 +112,13 @@ let round t ~phase outbox =
        end;
        t.ib_group.(di) <- (src, msg) :: t.ib_group.(di)
      end);
-    record_delivery src dst msg
+    Ledger.deliver l src dst msg
   in
   let deliver src dst msg =
-    let e = edge_id c src dst in
+    let e = Ledger.edge_id c src dst in
     if e >= 0 then begin
-      let b = t.bits msg in
-      if b <= 0 then invalid_arg "Sim.round: message with non-positive bit size";
-      if t.round_bits.(e) = 0 then begin
-        t.touched.(t.n_touched) <- e;
-        t.n_touched <- t.n_touched + 1
-      end;
-      t.round_bits.(e) <- t.round_bits.(e) + b;
-      t.link_total.(e) <- t.link_total.(e) + b;
-      let d = c.e_delay.(e) in
+      Ledger.charge l e msg;
+      let d = t.e_delay.(e) in
       if d = 0 then deliver_now c.e_dst.(e) src dst msg
       else begin
         let due = round_no + d in
@@ -300,42 +127,13 @@ let round t ~phase outbox =
           :: (match Hashtbl.find_opt t.pending due with Some l -> l | None -> []))
       end
     end
-    else begin
-      t.dropped <- t.dropped + 1;
-      Nab_obs.add t.obs "sim.dropped" 1
-    end
+    else Ledger.drop l
   in
   for ui = 0 to c.nv - 1 do
     let v = c.vid.(ui) in
     List.iter (fun (dst, msg) -> deliver v dst msg) (outbox v)
   done;
-  (* Round duration: slowest link. *)
-  let duration = ref 0.0 in
-  let bits_this_round = ref 0 in
-  for i = 0 to t.n_touched - 1 do
-    let e = t.touched.(i) in
-    let b = t.round_bits.(e) in
-    bits_this_round := !bits_this_round + b;
-    duration := Float.max !duration (float_of_int b /. c.e_capf.(e))
-  done;
-  let duration = !duration and bits_this_round = !bits_this_round in
-  acc.p_rounds <- acc.p_rounds + 1;
-  acc.p_wall <- acc.p_wall +. duration;
-  acc.p_bottleneck <- Float.max acc.p_bottleneck duration;
-  acc.p_bits <- acc.p_bits + bits_this_round;
-  if Nab_obs.enabled t.obs then begin
-    Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-      ~attrs:
-        [
-          ("phase", Nab_obs.S phase);
-          ("round", Nab_obs.I round_no);
-          ("bits", Nab_obs.I bits_this_round);
-          ("duration", Nab_obs.F duration);
-        ]
-      "round";
-    Nab_obs.add t.obs "sim.rounds" 1;
-    Nab_obs.add t.obs "sim.bits" bits_this_round
-  end;
+  Ledger.end_round l ~duration:(Ledger.transmission l);
   (* Materialise the inboxes (the returned closure stays valid across later
      rounds, as before) and reset the scratch arrays for the next round. *)
   let res = Array.make c.nv [] in
@@ -359,139 +157,43 @@ let round t ~phase outbox =
     t.ib_legacy.(di) <- []
   done;
   t.n_dst <- 0;
-  for i = 0 to t.n_touched - 1 do
-    t.round_bits.(t.touched.(i)) <- 0
-  done;
-  t.n_touched <- 0;
   fun v ->
-    let di = vertex_index c v in
+    let di = Ledger.vertex_index c v in
     if di < 0 then [] else res.(di)
 
 let pending_count t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.pending 0
 
+(* Every round advances the round counter towards the largest due round,
+   and an empty outbox adds nothing in flight, so draining terminates. *)
 let drain t ~phase =
-  (* Messages already on delayed links keep flying even when no node has
-     anything left to send: run empty rounds until the fabric is quiet.
-     Terminates because an empty outbox adds nothing to [pending] and every
-     round advances [round_no] towards the largest due round. *)
-  let merged : (int, (int * 'm) list) Hashtbl.t = Hashtbl.create 16 in
-  while pending_count t > 0 do
-    let inbox = round t ~phase (fun _ -> []) in
-    List.iter
-      (fun v ->
-        match inbox v with
-        | [] -> ()
-        | arrivals ->
-            Hashtbl.replace merged v
-              ((try Hashtbl.find merged v with Not_found -> []) @ arrivals))
-      (Digraph.vertices t.g)
-  done;
-  fun v -> try Hashtbl.find merged v with Not_found -> []
+  Ledger.drain t.l ~pending:(fun () -> pending_count t) ~round:(round t ~phase)
 
-let add_cost t ~phase c =
-  let acc = phase_acc t phase in
-  acc.p_extra <- acc.p_extra +. c
-
-let phase_stats t =
-  List.rev_map
-    (fun name ->
-      let a = Hashtbl.find t.phases name in
-      {
-        phase = name;
-        rounds = a.p_rounds;
-        wall = a.p_wall;
-        bottleneck = a.p_bottleneck;
-        bits_total = a.p_bits;
-        extra = a.p_extra;
-      })
-    t.phase_order
-
-let elapsed t =
-  List.fold_left (fun acc s -> acc +. s.wall +. s.extra) 0.0 (phase_stats t)
-
-let pipelined_elapsed t =
-  List.fold_left (fun acc s -> acc +. s.bottleneck +. s.extra) 0.0 (phase_stats t)
-
-type timing = Transport.timing = {
-  wall : float;
-  pipelined : float;
-  phases : phase_stat list;
-}
-
-let timing t =
-  { wall = elapsed t; pipelined = pipelined_elapsed t; phases = phase_stats t }
-
-let link_bits t =
-  let c = t.c in
-  let acc = ref [] in
-  for e = c.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then acc := ((c.e_src_id.(e), c.e_dst_id.(e)), b) :: !acc
-  done;
-  !acc
-
-let dropped t = t.dropped
-
-let utilization t =
-  (* Denominator: total elapsed time including analytic add_cost. A run
-     whose time is entirely analytic (wall = 0) still lists every link that
-     carried bits, at utilisation 0.0 — the empty list is reserved for "no
-     traffic at all". *)
-  let wall = elapsed t in
-  let c = t.c in
-  let acc = ref [] in
-  for e = c.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then begin
-      let u =
-        if wall <= 0.0 then 0.0 else float_of_int b /. (c.e_capf.(e) *. wall)
-      in
-      acc := ((c.e_src_id.(e), c.e_dst_id.(e)), u) :: !acc
-    end
-  done;
-  !acc
-
-let events t = List.rev t.evs
-let events_of_phase t phase = List.filter (fun e -> e.ev_phase = phase) (events t)
-let rounds_run t = t.round_no
+let graph t = Ledger.graph t.l
+let obs t = Ledger.obs t.l
+let add_cost t = Ledger.add_cost t.l
+let timing t = Ledger.timing t.l
+let link_bits t = Ledger.link_bits t.l
+let dropped t = Ledger.dropped t.l
+let utilization t = Ledger.utilization t.l
+let events t = Ledger.events t.l
+let events_of_phase t = Ledger.events_of_phase t.l
+let keeps_events t = Ledger.keeps_events t.l
+let rounds_run t = Ledger.rounds_run t.l
 
 (* ------------------------- TRANSPORT packing --------------------------
 
    The reference backend: a Packet.t-carrying simulator packed behind the
-   backend-neutral boundary. Every operation is the simulator's own; only
-   the event record is converted (Sim's trace is polymorphic in the
-   message type, Transport's is Packet.t-concrete). *)
+   backend-neutral boundary; its ledger answers the accounting members. *)
 
-module Packet_transport = struct
+module Packet_transport = Ledger.Make_transport (struct
   type nonrec t = Packet.t t
 
-  let graph = graph
-  let obs = obs
+  let ledger t = t.l
   let round = round
   let pending_count = pending_count
   let drain = drain
-  let add_cost = add_cost
-  let timing = timing
-  let link_bits = link_bits
-  let dropped = dropped
-  let utilization = utilization
-
-  let events_of_phase t phase =
-    List.map
-      (fun (e : Packet.t event) ->
-        {
-          Transport.round_no = e.round_no;
-          ev_phase = e.ev_phase;
-          src = e.src;
-          dst = e.dst;
-          msg = e.msg;
-        })
-      (events_of_phase t phase)
-
-  let keeps_events = keeps_events
-  let rounds_run = rounds_run
   let close _ = ()
-end
+end)
 
 let transport (t : Packet.t t) : Transport.t =
   Transport.pack (module Packet_transport) t

@@ -135,7 +135,13 @@ val utilization : 'm t -> ((int * int) * float) list
     rather than the whole table being empty. [[]] therefore means "no link
     carried any traffic". *)
 
-type 'm event = { round_no : int; ev_phase : string; src : int; dst : int; msg : 'm }
+type 'm event = 'm Ledger.event = {
+  round_no : int;
+  ev_phase : string;
+  src : int;
+  dst : int;
+  msg : 'm;
+}
 
 val events : 'm t -> 'm event list
 (** Full delivery trace in chronological order — the ground truth that

@@ -7,17 +7,16 @@
 
    Design notes, in the order they bit:
 
-   - OCaml 5 forbids fork-without-exec from a multi-domain program (the
-     child can deadlock on another domain's locks), and the campaign
-     driver runs scenarios on pool domains. Node processes are therefore
-     fork+EXEC of [Sys.executable_name]: everything the exec needs (argv,
-     environment) is allocated before the fork, and the child calls
-     nothing but [Unix.execve]. The re-exec'd binary must announce itself
-     by calling {!exec_node_if_requested} first thing in [main] — and
-     [create] refuses to run in a process that never installed that hook,
-     because forking a binary that does not check the hook would re-run
-     that binary's [main] per node (a fork bomb for a driver like
-     campaign).
+   - OCaml 5's [Unix.fork] refuses to run at all once any other domain
+     has been spawned — even when the child would exec at once — and the
+     campaign driver and planning run on pool domains. Node processes are
+     therefore spawned with [Unix.create_process_env] (posix_spawn, no
+     OCaml-level fork) as a fresh [Sys.executable_name]. The re-executed
+     binary must announce itself by calling {!exec_node_if_requested}
+     first thing in [main] — and [create] refuses to run in a process
+     that never installed that hook, because spawning a binary that does
+     not check the hook would re-run that binary's [main] per node (a
+     process bomb for a driver like campaign).
 
    - OCaml's [Unix] has no fd passing, so links are established by
      address: the coordinator listens on a control address, every node
@@ -38,7 +37,6 @@
      an Inbox frame. Per-link round counters keep a fast peer's round
      r+1 traffic out of round r. *)
 
-open Nab_graph
 module Codec = Wire.Codec
 
 exception Socket_error of string
@@ -270,6 +268,25 @@ let monotonic () = Unix.gettimeofday ()
 
 let env_var = "NAB_SOCKET_NODE"
 let hook_installed = Atomic.make false
+
+(* The [env_var] value {!available} spawns with: the node hook exits at
+   once, proving the binary can re-execute itself as a node. *)
+let probe_spec = "probe"
+
+(* Start [Sys.executable_name] as a node process with [env_var] set to
+   [spec]. [Unix.create_process_env] spawns without an OCaml-level fork,
+   so this works while other domains are alive. *)
+let spawn_self spec =
+  let env_prefix = env_var ^ "=" in
+  let env =
+    Array.of_list
+      ((env_prefix ^ spec)
+      :: List.filter
+           (fun kv -> not (String.starts_with ~prefix:env_prefix kv))
+           (Array.to_list (Unix.environment ())))
+  in
+  let exe = Sys.executable_name in
+  Unix.create_process_env exe [| exe |] env Unix.stdin Unix.stdout Unix.stderr
 
 (* ------------------------- control frame bodies ------------------------ *)
 
@@ -660,7 +677,7 @@ let node_main spec =
   Unix.bind listener data_addr;
   Unix.listen listener 64;
   let data_addr = Unix.getsockname listener in
-  (* Control channel. The coordinator listens before forking, so a plain
+  (* Control channel. The coordinator listens before spawning nodes, so a plain
      connect is race-free. *)
   let ctrl_fd = socket_for ctrl_addr in
   Unix.connect ctrl_fd ctrl_addr;
@@ -730,6 +747,7 @@ let exec_node_if_requested () =
   Atomic.set hook_installed true;
   match Sys.getenv_opt env_var with
   | None -> ()
+  | Some spec when spec = probe_spec -> exit 0
   | Some spec -> (
       try node_main spec with
       | Socket_error e ->
@@ -741,38 +759,13 @@ let exec_node_if_requested () =
 
 (* --------------------------- coordinator ------------------------------ *)
 
-type phase_acc = {
-  mutable p_rounds : int;
-  mutable p_wall : float;
-  mutable p_bottleneck : float;
-  mutable p_bits : int;
-  mutable p_extra : float;
-}
-
 type t = {
-  g : Digraph.t;
-  obs : Nab_obs.ctx;
-  keep_events : bool;
+  l : Packet.t Ledger.t;
+  c : Ledger.index;
   timeout : float;
   dir : string option; (* Unix-mode socket directory, removed on close *)
-  nv : int;
-  verts : int array; (* vertex ids, ascending (Digraph.vertices order) *)
-  vidx : (int, int) Hashtbl.t;
-  ne : int;
-  e_src : int array; (* edges, (src, dst) lexicographic *)
-  e_dst : int array;
-  e_capf : float array;
-  etbl : (int * int, int) Hashtbl.t;
-  link_total : int array;
-  round_bits : int array;
   pids : int array; (* node process per dense index *)
   conns : conn array; (* control channel per dense index *)
-  mutable round_no : int;
-  mutable msg_no : int;
-  mutable evs : Transport.event list; (* reversed *)
-  mutable dropped : int;
-  phases : (string, phase_acc) Hashtbl.t;
-  mutable phase_order : string list; (* reversed *)
   mutable state : [ `Live | `Failed of string | `Closed ];
   mutable node_stats : (int * stats) list;
   reg_key : int;
@@ -898,26 +891,12 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
   if not (Atomic.get hook_installed) then
     fail
       "Socket.create: this process never called Socket.exec_node_if_requested \
-       at startup; refusing to fork+exec %s (its main would run per node)"
+       at startup; refusing to spawn %s (its main would run per node)"
       Sys.executable_name;
   Lazy.force ignore_sigpipe;
-  let verts = Array.of_list (Digraph.vertices g) in
-  let nv = Array.length verts in
-  let vidx = Hashtbl.create (max 16 nv) in
-  Array.iteri (fun i v -> Hashtbl.replace vidx v i) verts;
-  let edges = Array.of_list (Digraph.edges g) in
-  let ne = Array.length edges in
-  let e_src = Array.make ne 0 in
-  let e_dst = Array.make ne 0 in
-  let e_capf = Array.make ne 0.0 in
-  let etbl = Hashtbl.create (max 16 ne) in
-  Array.iteri
-    (fun e (src, dst, cap) ->
-      e_src.(e) <- src;
-      e_dst.(e) <- dst;
-      e_capf.(e) <- float_of_int cap;
-      Hashtbl.replace etbl (src, dst) e)
-    edges;
+  let l = Ledger.create ~obs ~keep_events ~backend:"Socket" g ~bits:Packet.bits in
+  let ix = Ledger.index l in
+  let nv = ix.nv in
   let token = random_token () in
   (* Control listener. *)
   let dir, ctrl_addr =
@@ -932,19 +911,7 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
   Unix.listen listener (max 16 nv);
   let ctrl_addr = Unix.getsockname listener in
   Unix.set_nonblock listener;
-  (* Fork+exec one process per vertex. Everything the child touches is
-     computed before the fork; the child calls only execve/_exit. *)
-  let exe = Sys.executable_name in
-  let env_prefix = env_var ^ "=" in
-  let base_env =
-    Array.of_list
-      (List.filter
-         (fun kv ->
-           not
-             (String.length kv >= String.length env_prefix
-             && String.sub kv 0 (String.length env_prefix) = env_prefix))
-         (Array.to_list (Unix.environment ())))
-  in
+  (* Spawn one node process per vertex. *)
   let pids = Array.make nv (-1) in
   let cleanup_partial () =
     (try Unix.close listener with Unix.Unix_error _ -> ());
@@ -952,19 +919,11 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
   in
   (try
      Array.iteri
-       (fun _i v ->
-         let spec =
-           Printf.sprintf "%s=%s;%d;%s" env_var (addr_to_string ctrl_addr) v token
-         in
-         let env = Array.append base_env [| spec |] in
-         let argv = [| exe |] in
-         flush stdout;
-         flush stderr;
-         match Unix.fork () with
-         | 0 -> (
-             try Unix.execve exe argv env with _ -> Unix._exit 127)
-         | pid -> pids.(Hashtbl.find vidx v) <- pid)
-       verts
+       (fun i v ->
+         pids.(i) <-
+           spawn_self
+             (Printf.sprintf "%s;%d;%s" (addr_to_string ctrl_addr) v token))
+       ix.vid
    with e ->
      cleanup_partial ();
      raise e);
@@ -1026,11 +985,8 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
                     match parse_hello body with
                     | id, tok, data_addr ->
                         if tok <> token then fail "Socket: Hello token mismatch";
-                        let di =
-                          match Hashtbl.find_opt vidx id with
-                          | Some di -> di
-                          | None -> fail "Socket: Hello from unknown node %d" id
-                        in
+                        let di = Ledger.vertex_index ix id in
+                        if di < 0 then fail "Socket: Hello from unknown node %d" id;
                         if have_conn.(di) then
                           fail "Socket: duplicate Hello from node %d" id;
                         have_conn.(di) <- true;
@@ -1054,18 +1010,18 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
       let linked = Hashtbl.create 64 in
       Array.iteri
         (fun e src ->
-          let dst = e_dst.(e) in
-          let si = Hashtbl.find vidx src and di = Hashtbl.find vidx dst in
+          let dst = ix.e_dst_id.(e) in
+          let si = Ledger.vertex_index ix src and di = ix.e_dst.(e) in
           out_ids.(si) <- dst :: out_ids.(si);
           in_ids.(di) <- src :: in_ids.(di);
           let pair = (min src dst, max src dst) in
           if not (Hashtbl.mem linked pair) then Hashtbl.replace linked pair ())
-        e_src;
+        ix.e_src_id;
       let dial = Array.make nv [] in
       let accept_n = Array.make nv 0 in
       Hashtbl.iter
         (fun (a, b) () ->
-          let ai = Hashtbl.find vidx a and bi = Hashtbl.find vidx b in
+          let ai = Ledger.vertex_index ix a and bi = Ledger.vertex_index ix b in
           dial.(ai) <- (b, data_addrs.(bi)) :: dial.(ai);
           accept_n.(bi) <- accept_n.(bi) + 1)
         linked;
@@ -1091,34 +1047,7 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
   | Ok (conns, dir) ->
       let reg_key = register_fleet pids conns dir in
       let t =
-        {
-          g;
-          obs;
-          keep_events;
-          timeout;
-          dir;
-          nv;
-          verts;
-          vidx;
-          ne;
-          e_src;
-          e_dst;
-          e_capf;
-          etbl;
-          link_total = Array.make ne 0;
-          round_bits = Array.make ne 0;
-          pids;
-          conns;
-          round_no = 0;
-          msg_no = 0;
-          evs = [];
-          dropped = 0;
-          phases = Hashtbl.create 8;
-          phase_order = [];
-          state = `Live;
-          node_stats = [];
-          reg_key;
-        }
+        { l; c = ix; timeout; dir; pids; conns; state = `Live; node_stats = []; reg_key }
       in
       (* Wait for every node to finish peer wiring. *)
       (try
@@ -1160,7 +1089,7 @@ let close t =
       if was_live then begin
         Array.iter (fun c -> if c.alive then queue_frame c k_stop "") t.conns;
         let deadline = monotonic () +. 5.0 in
-        let got = Array.make t.nv false in
+        let got = Array.make t.c.nv false in
         (try
            pump t ~deadline ~expect_live:false ~done_:(fun () ->
                Array.iteri
@@ -1171,7 +1100,7 @@ let close t =
                          match parse_stats body with
                          | s ->
                              got.(i) <- true;
-                             t.node_stats <- (t.verts.(i), s) :: t.node_stats
+                             t.node_stats <- (t.c.vid.(i), s) :: t.node_stats
                          | exception Codec.Bad _ -> got.(i) <- true)
                      | _ -> got.(i) <- true
                    end)
@@ -1189,7 +1118,7 @@ let close t =
       (* Reap every node: WNOHANG poll with a grace period, then SIGKILL.
          No child of this fleet survives close. *)
       let deadline = monotonic () +. 5.0 in
-      let reaped = Array.make t.nv false in
+      let reaped = Array.make t.c.nv false in
       let remaining () =
         let n = ref 0 in
         Array.iteri (fun i r -> if (not r) && t.pids.(i) > 0 then incr n) reaped;
@@ -1224,115 +1153,45 @@ let close t =
            with Sys_error _ -> ());
           try Unix.rmdir d with Unix.Unix_error _ -> ()))
 
-(* ------------------------------ accounting ----------------------------
-
-   Byte-for-byte the synchronous simulator's accounting (Sim), including
-   observability event order — the differential gate depends on it. *)
-
-let phase_acc t name =
-  match Hashtbl.find_opt t.phases name with
-  | Some acc -> acc
-  | None ->
-      let acc =
-        { p_rounds = 0; p_wall = 0.0; p_bottleneck = 0.0; p_bits = 0; p_extra = 0.0 }
-      in
-      Hashtbl.add t.phases name acc;
-      t.phase_order <- name :: t.phase_order;
-      acc
-
-let elapsed_phases t =
-  Hashtbl.fold (fun _ a acc -> acc +. a.p_wall +. a.p_extra) t.phases 0.0
-
 (* ------------------------------- round --------------------------------- *)
 
 let round t ~phase outbox =
   guard t @@ fun () ->
-  let acc = phase_acc t phase in
-  t.round_no <- t.round_no + 1;
-  let round_no = t.round_no in
-  let sample = Nab_obs.sample_messages t.obs in
-  let record_delivery src dst msg =
-    if t.keep_events then
-      t.evs <- { Transport.round_no; ev_phase = phase; src; dst; msg } :: t.evs;
-    t.msg_no <- t.msg_no + 1;
-    if sample > 0 && t.msg_no mod sample = 0 then
-      Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-        ~attrs:
-          [
-            ("phase", Nab_obs.S phase);
-            ("round", Nab_obs.I round_no);
-            ("src", Nab_obs.I src);
-            ("dst", Nab_obs.I dst);
-            ("bits", Nab_obs.I (Packet.bits msg));
-          ]
-        "msg"
-  in
+  let l = t.l and c = t.c in
+  let round_no = Ledger.begin_round l ~phase in
   (* Canonical synchronous scan: senders ascending, send order within a
      sender — bit accounting, drop accounting and the delivery trace all
      follow it, exactly like Sim.round. Alongside, collect what actually
      goes on the wire (per-sender send lists) and the prediction the node
      reports are checked against. *)
-  let sends = Array.make t.nv [] in
+  let sends = Array.make c.nv [] in
   (* reversed *)
-  let expected = Array.make t.nv [] in
+  let expected = Array.make c.nv [] in
   (* cons in delivery order *)
-  let touched = ref [] in
-  for ui = 0 to t.nv - 1 do
-    let v = t.verts.(ui) in
+  for ui = 0 to c.nv - 1 do
+    let v = c.vid.(ui) in
     List.iter
       (fun (dst, msg) ->
-        match Hashtbl.find_opt t.etbl (v, dst) with
-        | Some e ->
-            let b = Packet.bits msg in
-            if b <= 0 then
-              invalid_arg "Socket.round: message with non-positive bit size";
-            if t.round_bits.(e) = 0 then touched := e :: !touched;
-            t.round_bits.(e) <- t.round_bits.(e) + b;
-            t.link_total.(e) <- t.link_total.(e) + b;
-            sends.(ui) <- (dst, msg) :: sends.(ui);
-            let di = Hashtbl.find t.vidx dst in
-            expected.(di) <- (v, msg) :: expected.(di);
-            record_delivery v dst msg
-        | None ->
-            t.dropped <- t.dropped + 1;
-            Nab_obs.add t.obs "sim.dropped" 1)
+        let e = Ledger.edge_id c v dst in
+        if e < 0 then Ledger.drop l
+        else begin
+          Ledger.charge l e msg;
+          sends.(ui) <- (dst, msg) :: sends.(ui);
+          let di = c.e_dst.(e) in
+          expected.(di) <- (v, msg) :: expected.(di);
+          Ledger.deliver l v dst msg
+        end)
       (outbox v)
   done;
-  let duration = ref 0.0 in
-  let bits_this_round = ref 0 in
-  List.iter
-    (fun e ->
-      let b = t.round_bits.(e) in
-      bits_this_round := !bits_this_round + b;
-      duration := Float.max !duration (float_of_int b /. t.e_capf.(e));
-      t.round_bits.(e) <- 0)
-    !touched;
-  let duration = !duration and bits_this_round = !bits_this_round in
-  acc.p_rounds <- acc.p_rounds + 1;
-  acc.p_wall <- acc.p_wall +. duration;
-  acc.p_bottleneck <- Float.max acc.p_bottleneck duration;
-  acc.p_bits <- acc.p_bits + bits_this_round;
-  if Nab_obs.enabled t.obs then begin
-    Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-      ~attrs:
-        [
-          ("phase", Nab_obs.S phase);
-          ("round", Nab_obs.I round_no);
-          ("bits", Nab_obs.I bits_this_round);
-          ("duration", Nab_obs.F duration);
-        ]
-      "round";
-    Nab_obs.add t.obs "sim.rounds" 1;
-    Nab_obs.add t.obs "sim.bits" bits_this_round
-  end;
+  Ledger.end_round l ~duration:(Ledger.transmission l);
   (* The real exchange: ship every node its outbox, collect every inbox. *)
-  for ui = 0 to t.nv - 1 do
+  for ui = 0 to c.nv - 1 do
     let frame_sends =
       List.rev_map (fun (dst, msg) -> (dst, Packet.encode msg)) sends.(ui)
     in
     queue_frame t.conns.(ui) k_outbox (body_outbox ~round:round_no frame_sends)
   done;
-  let inboxes = Array.make t.nv None in
+  let inboxes = Array.make c.nv None in
   let n_in = ref 0 in
   pump t
     ~deadline:(monotonic () +. t.timeout)
@@ -1349,19 +1208,19 @@ let round t ~phase outbox =
                     incr n_in
                 | r, _ ->
                     fail "Socket: node %d reported round %d inbox in round %d"
-                      t.verts.(i) r round_no
+                      t.c.vid.(i) r round_no
                 | exception Codec.Bad e -> fail "Socket: bad Inbox: %s" e)
             | _ -> fail "Socket: expected Inbox"
           end)
         t.conns;
-      !n_in = t.nv);
+      !n_in = c.nv);
   (* Decode the node-reported arrivals and canonicalise: groups ascending
      by sender (the node already reports them that way), reverse delivery
      order within a group — the exact inbox shape Sim produces. Then hold
      the wire's answer to the synchronous prediction: any divergence is a
      transport fault, not data. *)
-  let res = Array.make t.nv [] in
-  for di = 0 to t.nv - 1 do
+  let res = Array.make c.nv [] in
+  for di = 0 to c.nv - 1 do
     let arrivals =
       match inboxes.(di) with Some a -> a | None -> assert false
     in
@@ -1384,13 +1243,12 @@ let round t ~phase outbox =
     if not (List.equal (fun (s1, p1) (s2, p2) -> s1 = s2 && p1 = p2) canonical predicted)
     then
       fail "Socket: wire exchange diverged from the synchronous prediction at node %d"
-        t.verts.(di);
+        c.vid.(di);
     res.(di) <- canonical
   done;
   fun v ->
-    match Hashtbl.find_opt t.vidx v with
-    | Some di -> res.(di)
-    | None -> []
+    let di = Ledger.vertex_index c v in
+    if di < 0 then [] else res.(di)
 
 (* Synchronous semantics: nothing is ever in flight between rounds. *)
 let pending_count t =
@@ -1401,95 +1259,20 @@ let drain t ~phase:_ =
   check_live t;
   fun _ -> []
 
-let add_cost t ~phase c =
-  let acc = phase_acc t phase in
-  acc.p_extra <- acc.p_extra +. c
-
-let phase_stats t =
-  List.rev_map
-    (fun name ->
-      let a = Hashtbl.find t.phases name in
-      {
-        Transport.phase = name;
-        rounds = a.p_rounds;
-        wall = a.p_wall;
-        bottleneck = a.p_bottleneck;
-        bits_total = a.p_bits;
-        extra = a.p_extra;
-      })
-    t.phase_order
-
-let elapsed t =
-  List.fold_left
-    (fun acc (s : Transport.phase_stat) -> acc +. s.wall +. s.extra)
-    0.0 (phase_stats t)
-
-let pipelined_elapsed t =
-  List.fold_left
-    (fun acc (s : Transport.phase_stat) -> acc +. s.bottleneck +. s.extra)
-    0.0 (phase_stats t)
-
-let timing t =
-  {
-    Transport.wall = elapsed t;
-    pipelined = pipelined_elapsed t;
-    phases = phase_stats t;
-  }
-
-let link_bits t =
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then acc := ((t.e_src.(e), t.e_dst.(e)), b) :: !acc
-  done;
-  !acc
-
-let dropped t = t.dropped
-
-let utilization t =
-  let wall = elapsed t in
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then begin
-      let u = if wall <= 0.0 then 0.0 else float_of_int b /. (t.e_capf.(e) *. wall) in
-      acc := ((t.e_src.(e), t.e_dst.(e)), u) :: !acc
-    end
-  done;
-  !acc
-
-let events t = List.rev t.evs
-
-let events_of_phase t phase =
-  List.filter (fun (e : Transport.event) -> e.ev_phase = phase) (events t)
-
-let keeps_events t = t.keep_events
-let rounds_run t = t.round_no
-let graph t = t.g
-let obs t = t.obs
 let node_stats t = t.node_stats
 let pids t = Array.to_list t.pids
 
 (* --------------------------- TRANSPORT packing ------------------------- *)
 
-module Socket_transport = struct
+module Socket_transport = Ledger.Make_transport (struct
   type nonrec t = t
 
-  let graph = graph
-  let obs = obs
+  let ledger t = t.l
   let round = round
   let pending_count = pending_count
   let drain = drain
-  let add_cost = add_cost
-  let timing = timing
-  let link_bits = link_bits
-  let dropped = dropped
-  let utilization = utilization
-  let events_of_phase = events_of_phase
-  let keeps_events = keeps_events
-  let rounds_run = rounds_run
   let close = close
-end
+end)
 
 let transport (t : t) : Transport.t = Transport.pack (module Socket_transport) t
 
@@ -1499,9 +1282,10 @@ let factory ?mode ?timeout () : Transport.factory =
 (* ----------------------------- availability ---------------------------- *)
 
 (* Can this process run socket fleets at all? Probes the exact primitives
-   create relies on: the worker hook, fork+waitpid, and a bound listener
-   in the selected mode. Used by test/bench tiers to skip gracefully on
-   platforms without fork rather than fail. *)
+   create relies on: the worker hook, a bound listener in the selected
+   mode, and spawning this binary as a node (a probe node that exits at
+   once). Used by test/bench tiers to skip gracefully on platforms that
+   cannot spawn processes rather than fail. *)
 let available ?(mode : mode = `Unix) () =
   if not (Atomic.get hook_installed) then
     Error "process did not call Socket.exec_node_if_requested at startup"
@@ -1522,11 +1306,10 @@ let available ?(mode : mode = `Unix) () =
           (try Sys.remove (Filename.concat d "probe") with Sys_error _ -> ());
           try Unix.rmdir d with Unix.Unix_error _ -> ())
       | None -> ());
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 -> Unix._exit 0
-      | pid -> ignore (Unix.waitpid [] pid)
+      snd (Unix.waitpid [] (spawn_self probe_spec))
     with
-    | () -> Ok ()
+    | Unix.WEXITED 0 -> Ok ()
+    | Unix.WEXITED c -> Error (Printf.sprintf "probe node exited with code %d" c)
+    | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+        Error (Printf.sprintf "probe node stopped by signal %d" s)
     | exception e -> Error (Printexc.to_string e)

@@ -13,9 +13,11 @@
 
     {2 Process model}
 
-    Nodes are fork+exec of [Sys.executable_name] (OCaml 5 forbids bare
-    fork from a multi-domain program): the re-exec'd binary recognises
-    itself as a node via the [NAB_SOCKET_NODE] environment variable.
+    Nodes are fresh processes of [Sys.executable_name], spawned with
+    [Unix.create_process_env] (OCaml 5's [Unix.fork] refuses to run once
+    any other domain exists, and planning runs on [Pool] domains): the
+    re-executed binary recognises itself as a node via the
+    [NAB_SOCKET_NODE] environment variable.
     {b Every binary that creates socket transports must therefore call}
     {!exec_node_if_requested} {b first thing in [main]} — it is a no-op in
     the coordinator and never returns in a node. {!create} refuses to run
@@ -109,7 +111,8 @@ val pids : t -> int list
 val available : ?mode:mode -> unit -> (unit, string) result
 (** Can this process run socket fleets at all? Checks the
     {!exec_node_if_requested} hook and probes the exact primitives
-    {!create} relies on: [fork]/[waitpid] and a bound listener of the
-    selected [mode]. Test and bench tiers skip gracefully on [Error]
-    (e.g. platforms without [fork]) — when this returns [Ok], socket
-    failures are real failures. *)
+    {!create} relies on: a bound listener of the selected [mode], and
+    spawning this binary as a probe node that exits at once. Test and
+    bench tiers skip gracefully on [Error] (e.g. platforms that cannot
+    spawn processes) — when this returns [Ok], socket failures are real
+    failures. *)

@@ -1,4 +1,4 @@
-(* Tests for Numth, Gf2p, Gf256 and Poly. *)
+(* Tests for Numth, Gf2p, Field_intf, Rs and Poly. *)
 
 open Nab_field
 
@@ -188,21 +188,6 @@ let test_generator_order () =
         (Numth.prime_divisors n))
     [ 2; 3; 4; 8; 12; 16 ]
 
-(* ---------- Gf256 cross-check ---------- *)
-
-let test_gf256_matches_generic () =
-  let f = Gf256.field in
-  for a = 0 to 255 do
-    let b = (a * 37) land 0xff in
-    Alcotest.(check int) "mul" (Gf2p.mul f a b) (Gf256.mul a b);
-    if a > 0 then Alcotest.(check int) "inv" (Gf2p.inv f a) (Gf256.inv a)
-  done
-
-let test_gf256_log_exp () =
-  for a = 1 to 255 do
-    Alcotest.(check int) "exp(log a) = a" a (Gf256.exp (Gf256.log a))
-  done
-
 (* ---------- Field_intf functor ---------- *)
 
 let test_field_intf_functor () =
@@ -218,34 +203,6 @@ let test_field_intf_functor () =
       Alcotest.(check bool) "inverse" true (F.equal (F.mul a (F.inv a)) F.one)
   done;
   Alcotest.(check int) "pow" (Gf2p.pow F.field 3 7) (F.pow 3 7)
-
-(* ---------- Gf2p_table ---------- *)
-
-let test_table_matches_generic () =
-  List.iter
-    (fun m ->
-      let t = Gf2p_table.create m in
-      let f = Gf2p_table.generic t in
-      let st = Random.State.make [| m; 77 |] in
-      for _ = 1 to 500 do
-        let a = Gf2p.random f st and b = Gf2p.random f st in
-        Alcotest.(check int) "mul" (Gf2p.mul f a b) (Gf2p_table.mul t a b);
-        if a > 0 then begin
-          Alcotest.(check int) "inv" (Gf2p.inv f a) (Gf2p_table.inv t a);
-          Alcotest.(check int) "div" (Gf2p.div f b a) (Gf2p_table.div t b a)
-        end;
-        let e = Random.State.int st 1000 in
-        Alcotest.(check int) "pow" (Gf2p.pow f a e) (Gf2p_table.pow t a e)
-      done)
-    [ 2; 4; 8; 12; 16 ]
-
-let test_table_bounds () =
-  Alcotest.check_raises "m=1" (Gf2p.Invalid_degree 1) (fun () ->
-      ignore (Gf2p_table.create 1));
-  Alcotest.check_raises "m=17" (Gf2p.Invalid_degree 17) (fun () ->
-      ignore (Gf2p_table.create 17));
-  Alcotest.check_raises "inv 0" Division_by_zero (fun () ->
-      ignore (Gf2p_table.inv (Gf2p_table.create 8) 0))
 
 (* ---------- Reed-Solomon ---------- *)
 
@@ -383,18 +340,8 @@ let () =
           Alcotest.test_case "generator order" `Quick test_generator_order;
         ]
         @ field_axiom_tests );
-      ( "gf256",
-        [
-          Alcotest.test_case "matches generic field" `Quick test_gf256_matches_generic;
-          Alcotest.test_case "log exp roundtrip" `Quick test_gf256_log_exp;
-        ] );
       ( "field-intf",
         [ Alcotest.test_case "functor view" `Quick test_field_intf_functor ] );
-      ( "gf2p-table",
-        [
-          Alcotest.test_case "matches generic" `Quick test_table_matches_generic;
-          Alcotest.test_case "bounds" `Quick test_table_bounds;
-        ] );
       ( "reed-solomon",
         [
           Alcotest.test_case "roundtrip" `Quick test_rs_roundtrip;

@@ -17,9 +17,9 @@ open Nab_net
 
 let availability = Socket.available ()
 
-(* Platforms without fork (or without working sockets) skip — loudly, so a
-   misconfigured CI runner is visible in the logs, but green: the gate
-   only binds where the probe says the backend can run at all. *)
+(* Platforms without process spawning (or working sockets) skip — loudly,
+   so a misconfigured CI runner is visible in the logs, but green: the
+   gate only binds where the probe says the backend can run at all. *)
 let requires_socket f () =
   match availability with
   | Error reason ->
@@ -46,28 +46,72 @@ let sends g u =
 
 (* --------------------------- round identity --------------------------- *)
 
+(* The script every backend runs: three rounds of [sends], the middle one
+   with an extra send on a link that does not exist (a self-loop), an
+   analytic phase that only ever sees [add_cost], and one more round in a
+   phase of its own. *)
+let script g =
+  let v0 = List.hd (Digraph.vertices g) in
+  let self_send u = if u = v0 then [ (v0, snd (List.hd (sends g v0))) ] else [] in
+  [
+    `Round ("test", sends g);
+    `Round ("test", fun u -> sends g u @ self_send u);
+    `Round ("test", sends g);
+    `Cost ("analytic", 5.0);
+    `Round ("second", sends g);
+  ]
+
 let test_rounds_match_sim () =
   let g = k4 () in
-  let sim = Sim.factory () ~obs:Nab_obs.null ~keep_events:false g in
-  let sock = Socket.factory () ~obs:Nab_obs.null ~keep_events:false g in
+  let make factory = factory ~obs:Nab_obs.null ~keep_events:true g in
+  let sim = make (Sim.factory ()) in
+  let others =
+    [
+      ("Socket", make (Socket.factory ()));
+      ("Async_sim", make (Async_sim.factory ~spec:Async_sim.no_faults ()));
+    ]
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Transport.close sock;
-      Transport.close sim)
+    ~finally:(fun () -> List.iter Transport.close (sim :: List.map snd others))
     (fun () ->
-      for round = 1 to 3 do
-        let inbox_sim = Transport.round sim ~phase:"test" (sends g) in
-        let inbox_sock = Transport.round sock ~phase:"test" (sends g) in
-        List.iter
-          (fun v ->
-            Alcotest.(check bool)
-              (Printf.sprintf "round %d: node %d inbox identical to Sim" round v)
-              true
-              (inbox_sim v = inbox_sock v))
-          (Digraph.vertices g)
-      done;
-      Alcotest.(check bool) "capacity accounting identical to Sim" true
-        (Transport.link_bits sim = Transport.link_bits sock))
+      List.iteri
+        (fun i step ->
+          match step with
+          | `Cost (phase, c) ->
+              List.iter (fun tr -> Transport.add_cost tr ~phase c) (sim :: List.map snd others)
+          | `Round (phase, outbox) ->
+              let inbox_sim = Transport.round sim ~phase outbox in
+              List.iter
+                (fun (name, tr) ->
+                  let inbox = Transport.round tr ~phase outbox in
+                  List.iter
+                    (fun v ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "step %d: node %d inbox on %s identical to Sim"
+                           i v name)
+                        true
+                        (inbox_sim v = inbox v))
+                    (Digraph.vertices g))
+                others)
+        (script g);
+      Alcotest.(check int) "Sim dropped the self-loop send" 1 (Transport.dropped sim);
+      List.iter
+        (fun (name, tr) ->
+          let same what a b =
+            Alcotest.(check bool) (Printf.sprintf "%s %s identical to Sim" name what) true (a = b)
+          in
+          same "timing" (Transport.timing sim) (Transport.timing tr);
+          same "link_bits" (Transport.link_bits sim) (Transport.link_bits tr);
+          same "utilization" (Transport.utilization sim) (Transport.utilization tr);
+          same "dropped" (Transport.dropped sim) (Transport.dropped tr);
+          same "rounds_run" (Transport.rounds_run sim) (Transport.rounds_run tr);
+          List.iter
+            (fun phase ->
+              same ("events_of_phase " ^ phase)
+                (Transport.events_of_phase sim phase)
+                (Transport.events_of_phase tr phase))
+            [ "test"; "analytic"; "second" ])
+        others)
 
 (* Drive one round for its exchange side effect, discarding the inbox
    lookup closure it returns. *)
@@ -162,6 +206,26 @@ let test_no_fd_leak () =
       Alcotest.(check int) "fd count stable across create/close cycles" before
         after
 
+(* A fleet created after Pool worker domains are alive: OCaml 5's
+   Unix.fork refuses to run in that state, so node spawning must not rely
+   on it. Campaign and planning always start workers before the first
+   fleet. *)
+let test_fleet_after_pool () =
+  let squares = Nab_util.Pool.map ~jobs:2 (fun x -> x * x) [ 1; 2; 3; 4 ] in
+  Alcotest.(check (list int)) "pool batch ran" [ 1; 4; 9; 16 ] squares;
+  Alcotest.(check bool) "worker domains alive" true
+    (Nab_util.Pool.running_workers () >= 1);
+  (match Socket.available () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("available after pool start: " ^ e));
+  let g = k4 () in
+  let t = Socket.create g in
+  let pids = Socket.pids t in
+  Fun.protect
+    ~finally:(fun () -> Socket.close t)
+    (fun () -> run_round (Socket.transport t) ~phase:"after-pool" g);
+  check_reaped pids
+
 (* -------------------------------- main -------------------------------- *)
 
 let () =
@@ -180,5 +244,7 @@ let () =
             (requires_socket test_clean_close_no_orphans);
           Alcotest.test_case "no fd leak across cycles" `Quick
             (requires_socket test_no_fd_leak);
+          Alcotest.test_case "fleet after pool workers started" `Quick
+            (requires_socket test_fleet_after_pool);
         ] );
     ]
